@@ -1,11 +1,12 @@
 """The ``batch_network`` workload: library calls on the process backend.
 
-One caller runs Qo,o then Qb,b (P3, k=100, g=10, other knobs at their
-defaults) over simulated firewall traces, each trace's connection collection
-copied once per vertex as in the paper, through
+One caller alternates Qo,o and Qb,b (P3, k=100, g=10, other knobs at their
+defaults) over a simulated firewall trace, its connection collection copied
+once per vertex as in the paper, through
 ``ExecutionContext(cluster=ClusterConfig(backend="process", max_workers=nproc))``.
-A request is that pair of queries; its latency runs from the first
-``Algorithm.run`` call to the second returned ``RunReport``.
+Each ``Algorithm.run`` call is one latency sample, from the call to the
+returned ``RunReport``; the window always ends on a whole (Qo,o, Qb,b) pair,
+so both shapes contribute the same number of samples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ from typing import Any
 
 import numpy as np
 
-from common import DATA_SEED, TMP, Pass, derived_seed, leftovers, peak_rss_mb, request_log, summarise
+from common import (
+    DATA_SEED,
+    TMP,
+    Pass,
+    derived_seed,
+    leftovers,
+    peak_rss_mb,
+    request_log,
+    summarise,
+)
 from layers import layer_metrics
 from referee import check_against_oracle, exact_top_k, verify
 from repro.core.statistics import collect_statistics
@@ -35,31 +45,27 @@ SHAPES = ("Qo,o", "Qb,b")
 PARAMS, K, GRANULES = "P3", 100, 10
 SESSIONS = 900
 CONNECTIONS = 1100
-"""Connections sampled from each simulated trace (about 1150 come out of 900
-sessions), so every trace joins the same number of intervals."""
-TRACES = 3
-"""Independent traces per run; requests rotate over them, so a run's time
-averages over several heavy-tailed traces instead of hanging on one."""
+"""Connections sampled from the simulated trace (about 1150 come out of 900
+sessions)."""
+TRACE = 2
+"""Which generated trace the workload joins (the generator seed's index)."""
+POOL_START_INTERVALS = 60
 
 
-def network_copies(seed: int, trace_index: int) -> list[IntervalCollection]:
-    """One trace's connections, sampled to a fixed size, uids permuted by ``seed``,
+def network_copies(seed: int) -> list[IntervalCollection]:
+    """The trace's connections, sampled to a fixed size, uids permuted by ``seed``,
     copied once per vertex."""
     trace = generate_network_collection(
-        NetworkTraceConfig(num_sessions=SESSIONS),
-        seed=derived_seed(DATA_SEED, "trace", trace_index),
+        NetworkTraceConfig(num_sessions=SESSIONS), seed=derived_seed(DATA_SEED, "trace", TRACE)
     )
     fraction = min(1.0, (CONNECTIONS + 0.5) / len(trace))
-    base = sample_collection(trace, fraction, seed=derived_seed(DATA_SEED, "sample", trace_index))
-    uids = np.random.default_rng(derived_seed(seed, "uids", trace_index)).permutation(len(base))
+    base = sample_collection(trace, fraction, seed=derived_seed(DATA_SEED, "sample", TRACE))
+    uids = np.random.default_rng(derived_seed(seed, "uids")).permutation(len(base))
     intervals = [
         Interval(int(uid), interval.start, interval.end, interval.payload)
         for uid, interval in zip(uids, base.intervals)
     ]
-    return [
-        IntervalCollection(f"connections{trace_index}-{copy}", list(intervals))
-        for copy in (1, 2, 3)
-    ]
+    return [IntervalCollection(f"connections-{copy}", list(intervals)) for copy in (1, 2, 3)]
 
 
 def measure_batch(
@@ -68,6 +74,10 @@ def measure_batch(
     """Back-to-back (Qo,o, Qb,b) pairs from one caller for ``seconds``.
 
     The caller is the only connection; the pool gets one worker per CPU.
+    A set-up generates the trace, warms the g=10 statistics both queries
+    share and starts the pool.  After the last set-up each shape runs once
+    untimed: the baseline every window run's ``deterministic_metrics`` must
+    equal.
     """
     workers = len(os.sched_getaffinity(0))
     tempfile.tempdir = str(TMP)  # spill directories land in the scratch area
@@ -77,21 +87,15 @@ def measure_batch(
     times = []
     for rep in range(setup_reps):
         started = time.perf_counter()
-        traces = [network_copies(seed, index) for index in range(TRACES)]
-        queries = [
-            [build_query(shape, collections, PARAMS, K) for shape in SHAPES]
-            for collections in traces
-        ]
+        collections = network_copies(seed)
+        queries = {shape: build_query(shape, collections, PARAMS, K) for shape in SHAPES}
         context = ExecutionContext(
             cluster=ClusterConfig(backend="process", max_workers=workers)
         )
-        # Warm-up: the g=10 statistics both queries of a trace share, then
-        # one query to start the pool.
-        for collections in traces:
-            context.statistics.get_or_collect(
-                {c.name: c for c in collections}, GRANULES, collect_statistics
-            )
-        tkij.run(queries[0][1], context, num_granules=GRANULES)
+        context.statistics.get_or_collect(
+            {c.name: c for c in collections}, GRANULES, collect_statistics
+        )
+        _start_pool(tkij, collections, context)
         times.append(time.perf_counter() - started)
         if rep < setup_reps - 1:
             pool_pids |= _pool_pids()
@@ -99,27 +103,28 @@ def measure_batch(
     setup_s = sorted(times)[len(times) // 2]
 
     recorder = Recorder()
-    if traced:
-        install(recorder)
     records: list[dict[str, Any]] = []
-    outcomes: dict[tuple[str, int], list[tuple[list, dict]]] = {
-        (shape, index): [] for shape in SHAPES for index in range(TRACES)
-    }
-    started = time.perf_counter()
-    cpu_started = time.process_time()
+    outcomes: dict[str, list[tuple[list, dict]]] = {shape: [] for shape in SHAPES}
     try:
+        for shape in SHAPES:
+            report = tkij.run(queries[shape], context, num_granules=GRANULES)
+            outcomes[shape].append((report.results, deterministic_metrics(report)))
+        baseline = {shape: runs[0][1] for shape, runs in outcomes.items()}
+        if traced:
+            install(recorder)
+        started = time.perf_counter()
+        cpu_started = time.process_time()
         while time.perf_counter() < started + seconds:
-            index = (seed + len(records)) % TRACES
-            pair_start = time.perf_counter()
-            for shape, query in zip(SHAPES, queries[index]):
+            for shape in SHAPES:
+                call_start = time.perf_counter()
                 with recorder.span("batch.request", root=True):
-                    report = tkij.run(query, context, num_granules=GRANULES)
-                outcomes[(shape, index)].append((report.results, deterministic_metrics(report)))
-            end = time.perf_counter()
-            records.append(
-                {"kind": "batch", "ok": True, "start": pair_start, "end": end,
-                 "latency": end - pair_start, "trace": index}
-            )
+                    report = tkij.run(queries[shape], context, num_granules=GRANULES)
+                end = time.perf_counter()
+                outcomes[shape].append((report.results, deterministic_metrics(report)))
+                records.append(
+                    {"kind": "batch", "shape": shape, "ok": True, "start": call_start,
+                     "end": end, "latency": end - call_start}
+                )
         finished = time.perf_counter()
         cpu_frac = (time.process_time() - cpu_started) / (finished - started)
         rss = peak_rss_mb(children=False)
@@ -129,46 +134,41 @@ def measure_batch(
         context.close()
     problems.extend(leftovers(pool_pids | {os.getpid()}))
 
-    # Every answer against the referee; work counters repeat exactly per query.
+    # Every answer against the referee; every run's work counters equal the
+    # shape's baseline.
     wrong = 0
-    for index, pair in enumerate(queries):
-        for shape, query in zip(SHAPES, pair):
-            runs = outcomes[(shape, index)]
-            reference = exact_top_k(query) if runs else None
-            for results, metrics in runs:
-                if not verify(results, reference, query):
-                    wrong += 1
-                if metrics != runs[0][1]:
-                    problems.append(f"{shape} on trace {index}: deterministic_metrics differ")
-    for shape in check_against_oracle(SHAPES, traces[0], PARAMS, K):
+    for shape, query in queries.items():
+        reference = exact_top_k(query)
+        for results, metrics in outcomes[shape]:
+            if not verify(results, reference, query):
+                wrong += 1
+            if metrics != baseline[shape]:
+                problems.append(f"{shape}: deterministic_metrics differ from the baseline run")
+    for shape in check_against_oracle(SHAPES, collections, PARAMS, K):
         problems.append(f"referee disagrees with sql-oracle on {shape}")
 
     latency = summarise([r["latency"] for r in records])
-    queries_done = sum(len(v) for v in outcomes.values())
     result = Pass(
         end_to_end={
             "setup_s": setup_s,
             "latency_p50_s": latency["p50"],
             "latency_tail_s": latency["tail"],
-            "throughput_qps": queries_done / (finished - started),
+            "throughput_qps": len(records) / (finished - started),
             "peak_rss_mb": rss,
         },
-        attempted=queries_done,
+        attempted=sum(len(runs) for runs in outcomes.values()),
         failed=wrong,
         problems=problems,
         notes={
             "tail_pct": latency["tail_pct"],
             "samples": latency["count"],
-            "connections": 1,
+            "connections": connections,
             "pool_workers": workers,
             "cpu_frac": cpu_frac,
             "wrong_answers": wrong,
-            "intervals_per_vertex": [len(collections[0]) for collections in traces],
-            "deterministic_metrics": {
-                f"{shape}@{index}": runs[0][1]["counters"]
-                for (shape, index), runs in outcomes.items()
-                if runs
-            },
+            "setup_reps_s": times,
+            "intervals_per_vertex": len(collections[0]),
+            "deterministic_metrics": baseline,
         },
         requests=request_log(records, started),
     )
@@ -178,9 +178,18 @@ def measure_batch(
             records,
             (started, finished),
             {"statistics_cache": statistics_cache},
-            {"cpu_frac": cpu_frac, "connections": 1},
+            {"cpu_frac": cpu_frac, "connections": connections},
         )
     return result
+
+
+def _start_pool(tkij: Any, collections: list[IntervalCollection], context: Any) -> None:
+    """Start the pool's workers with a k=1 query over the first intervals."""
+    heads = [
+        IntervalCollection(f"pool-start-{c.name}", list(c.intervals[:POOL_START_INTERVALS]))
+        for c in collections
+    ]
+    tkij.run(build_query("Qb,b", heads, PARAMS, 1), context, num_granules=2)
 
 
 def _pool_pids() -> set[int]:

@@ -12,8 +12,8 @@ import shutil
 import statistics
 import subprocess
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -40,14 +40,11 @@ def derived_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def connections_allowed(requested: int | None, default: int) -> int:
-    """The client connection count: at most the CPUs this process may use."""
+def check_connections(connections: int) -> None:
+    """Refuse to run with more client connections than CPUs this process may use."""
     cpus = len(os.sched_getaffinity(0))
-    if requested is None:
-        return max(1, min(default, cpus))
-    if requested > cpus:
-        raise SystemExit(f"error: {requested} connections exceed the {cpus} CPUs available")
-    return requested
+    if connections > cpus:
+        raise SystemExit(f"error: {connections} connections exceed the {cpus} CPUs available")
 
 
 # ------------------------------------------------------------------ statistics
@@ -62,20 +59,22 @@ def percentile(values: list[float], pct: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
 
 
-def tail_pct(count: int) -> float:
-    """The highest whole percentile with at least 10 samples beyond it (p50 floor)."""
-    if count <= 20:
-        return 50.0
-    return float(max(50, math.floor(100.0 * (1.0 - 10.0 / count))))
+TAIL_PCT = 90.0
+"""The latency tail percentile of every workload.
+
+It is fixed, so the tails of two runs always compare.  A run
+holds 8-30 latency samples, so "the highest percentile with at least 10
+samples beyond it" would be the median itself, and would move with the speed
+of the host or the code.  Every result records its sample count beside the
+tail."""
 
 
 def summarise(values: list[float]) -> dict[str, float]:
-    """Median, tail (at :func:`tail_pct`) and sample count of a timing list."""
-    pct = tail_pct(len(values))
+    """Median, tail (at :data:`TAIL_PCT`) and sample count of a timing list."""
     return {
         "p50": statistics.median(values) if values else 0.0,
-        "tail": percentile(values, pct),
-        "tail_pct": pct,
+        "tail": percentile(values, TAIL_PCT),
+        "tail_pct": TAIL_PCT,
         "count": len(values),
     }
 
@@ -103,7 +102,7 @@ class Pass:
 
 def request_log(records: list[dict[str, Any]], origin: float) -> list[dict[str, Any]]:
     """The JSON-safe part of each timed record, times relative to ``origin``."""
-    keep = ("kind", "shape", "k", "mode", "dataset", "trace", "conn", "tick", "ok", "code", "timings")
+    keep = ("kind", "shape", "k", "mode", "dataset", "conn", "tick", "ok", "code", "timings")
     return [
         {
             **{key: record[key] for key in keep if key in record},
@@ -215,34 +214,21 @@ class ServerProcess:
 def closed_loop(
     step: Callable[[int], list[dict[str, Any]]], connections: int, seconds: float
 ) -> tuple[list[dict[str, Any]], float, float, float]:
-    """Run ``step(connection)`` back to back on each connection for ``seconds``.
+    """Run rounds of ``step(connection)``, all connections at once, for ``seconds``.
 
-    A step started before the deadline runs to completion.  Returns the
+    A round started before the deadline runs to completion, and the next
+    starts when its slowest connection is done, so every connection runs the
+    same number of steps and none runs alone at the end of the window (a
+    connection left alone ran its last step about twice as fast).  Returns the
     records, the window start, the last completion and the client CPU share.
     """
-    records: list[list[dict[str, Any]]] = [[] for _ in range(connections)]
-    errors: list[BaseException] = []
+    records: list[dict[str, Any]] = []
     started = time.perf_counter()
     cpu_started = time.process_time()
-    deadline = started + seconds
-
-    def worker(index: int) -> None:
-        try:
-            while time.perf_counter() < deadline:
-                records[index].extend(step(index))
-        except BaseException as error:  # noqa: BLE001 - re-raised on the main thread
-            errors.append(error)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(connections)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=seconds + 150)
-        if thread.is_alive():
-            raise RuntimeError("a load connection did not finish its last request")
-    if errors:
-        raise errors[0]
-    flat = [record for per_connection in records for record in per_connection]
-    finished = max((record["end"] for record in flat), default=time.perf_counter())
+    with ThreadPoolExecutor(max_workers=connections) as pool:
+        while time.perf_counter() < started + seconds:
+            for stepped in pool.map(step, range(connections)):
+                records.extend(stepped)
+    finished = max((record["end"] for record in records), default=time.perf_counter())
     cpu_frac = (time.process_time() - cpu_started) / max(finished - started, 1e-9)
-    return flat, started, finished, cpu_frac
+    return records, started, finished, cpu_frac

@@ -14,7 +14,10 @@ exactly that to ``.perfbench_out/runs.jsonl``).  Every end-to-end metric of
 * ``unresolved`` — either side's spread (interquartile range over median) is
   wider than the bound, unless every change run beats every parent run;
 * ``rejected`` — the change fails a larger share of its operations;
-* ``error`` — a workload or metric is missing from either set.
+* ``error`` — a workload or metric is missing from either set, the two sets
+  measured the latency tail at different percentiles, or two runs of one
+  seed in a set disagree on their ``deterministic_metrics`` (work counters
+  that must repeat exactly).
 
 The exit code is 1 when any verdict is ``regression``, ``rejected`` or
 ``error``.
@@ -61,18 +64,46 @@ def _failed_frac(runs: Iterable[dict[str, Any]]) -> float:
     return sum(run["failed"] for run in runs) / attempted if attempted else 1.0
 
 
+def _notes(run: dict[str, Any]) -> list[dict[str, Any]]:
+    return [p.get("notes", {}) for p in run.get("passes", ())]
+
+
+def _consistency(workload: str, parent: list, change: list) -> list[Verdict]:
+    """Errors for runs that cannot be compared or do not repeat themselves."""
+    verdicts: list[Verdict] = []
+    tails = {n["tail_pct"] for run in parent + change for n in _notes(run) if "tail_pct" in n}
+    if len(tails) > 1:
+        verdicts.append(
+            (workload, "latency_tail_s", "error", f"tail percentiles differ: {sorted(tails)}")
+        )
+    for side, runs in (("parent", parent), ("change", change)):
+        first: dict[Any, Any] = {}
+        for run in runs:
+            for notes in _notes(run):
+                if "deterministic_metrics" not in notes:
+                    continue
+                seen = first.setdefault(run.get("seed"), notes["deterministic_metrics"])
+                if notes["deterministic_metrics"] != seen:
+                    verdicts.append(
+                        (workload, "deterministic_metrics", "error",
+                         f"{side} runs of seed {run.get('seed')} differ")
+                    )
+    return verdicts
+
+
 def compare(
     parent: dict[str, list[dict[str, Any]]],
     change: dict[str, list[dict[str, Any]]],
     benchmark: dict[str, Any],
 ) -> list[Verdict]:
-    """One verdict per (workload, end-to-end metric), plus failure checks."""
+    """One verdict per (workload, end-to-end metric), plus failure and consistency checks."""
     verdicts: list[Verdict] = []
     for workload in (w["name"] for w in benchmark["workloads"]):
         if not parent.get(workload) or not change.get(workload):
             side = "parent" if not parent.get(workload) else "change"
             verdicts.append((workload, "*", "error", f"no {side} runs"))
             continue
+        verdicts.extend(_consistency(workload, parent[workload], change[workload]))
         before, after = _failed_frac(parent[workload]), _failed_frac(change[workload])
         if after > before:
             verdicts.append(

@@ -17,6 +17,7 @@ running or on disk afterwards makes the run exit 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -29,25 +30,25 @@ sys.path.insert(0, str(HERE.parent / "src"))
 import common  # noqa: E402
 from common import Pass  # noqa: E402
 
-SETUP_REPS = 3
-"""Set-ups per untraced run; ``setup_s`` is their median."""
-
 
 def _workloads():
-    """Each workload's measure function and its default client connection count.
+    """Each workload's measure function, client connection count and set-ups per run.
 
-    serve_mixed runs one connection: with two, an auto request co-running with
-    manual ones took 5-12 s instead of about 2 s while the manual ones ran at
-    full speed, and the median latency of 30-s runs ranged 1.1-5.3 s across
-    seeds — too chaotic to gate on.  serve_ingest (no auto requests) keeps two.
+    ``setup_s`` is the median of the set-ups of an untraced run (a traced
+    pass sets up once).  serve_mixed runs one connection: with two, an auto
+    request co-running with manual ones took 5-12 s instead of about 2 s
+    while the manual ones ran at full speed, and the median latency of 30-s
+    runs ranged 1.1-5.3 s across seeds — too chaotic to gate on.
+    serve_ingest (no auto requests) keeps two.  A batch_network set-up takes
+    about 0.4 s, so it repeats five times.
     """
     from batch import measure_batch
     from served import measure_ingest, measure_mixed
 
     return {
-        "serve_mixed": (measure_mixed, 1),
-        "batch_network": (measure_batch, 1),
-        "serve_ingest": (measure_ingest, 2),
+        "serve_mixed": (measure_mixed, 1, 3),
+        "batch_network": (measure_batch, 1, 5),
+        "serve_ingest": (measure_ingest, 2, 3),
     }
 
 
@@ -71,20 +72,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--connections",
-        type=int,
-        default=None,
-        help="client connections of the served workloads (at most nproc; "
-        "default 1 for serve_mixed, 2 for serve_ingest)",
-    )
     args = parser.parse_args(argv)
     declared = _declared()
     workloads = _workloads()
     if args.workload not in workloads:
         parser.error(f"unknown workload {args.workload!r}; expected one of {sorted(workloads)}")
-    measure, default_connections = workloads[args.workload]
-    connections = common.connections_allowed(args.connections, default_connections)
+    measure, connections, setup_reps = workloads[args.workload]
+    common.check_connections(connections)
     common.prepare_out()
     began = time.perf_counter()
     if args.trace:
@@ -101,11 +95,12 @@ def main(argv: list[str] | None = None) -> int:
         passes = [plain, traced]
         metrics = _metrics(layers, declared["per_layer"])
     else:
-        passes = [measure(args.seed, args.seconds, False, SETUP_REPS, connections)]
+        passes = [measure(args.seed, args.seconds, False, setup_reps, connections)]
         metrics = _metrics(passes[0].end_to_end, declared["end_to_end"])
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes)
     problems = [problem for p in passes for problem in p.problems]
+    problems += _repeats_earlier_runs(args.workload, args.seed, passes)
     correct = failed == 0 and not problems and attempted > 0
 
     _report(args, passes, metrics, problems, time.perf_counter() - began)
@@ -120,6 +115,38 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
     return 0 if correct else 1
+
+
+def _source_digest() -> str:
+    """A digest of the program's and the benchmark's source files."""
+    digest = hashlib.sha256()
+    for root in (common.SRC, HERE):
+        for path in sorted(root.rglob("*.py")):
+            digest.update(str(path.relative_to(common.ROOT)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _repeats_earlier_runs(workload: str, seed: int, passes: list[Pass]) -> list[str]:
+    """Work counters must repeat exactly across runs of one seed on the same source.
+
+    The first run of a (workload, seed, source) keeps its passes'
+    ``deterministic_metrics`` under ``.perfbench_out/deterministic/``; every
+    later run of it must produce the same.
+    """
+    counters = [
+        p.notes["deterministic_metrics"] for p in passes if "deterministic_metrics" in p.notes
+    ]
+    if not counters:
+        return []
+    path = common.OUT / "deterministic" / f"{workload}-{seed}-{_source_digest()}.json"
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(counters[0], sort_keys=True), encoding="utf-8")
+    first = json.loads(path.read_text(encoding="utf-8"))
+    if any(json.loads(json.dumps(c)) != first for c in counters):
+        return [f"deterministic_metrics differ from an earlier run of seed {seed} ({path.name})"]
+    return []
 
 
 def _report(args, passes: list[Pass], metrics: dict, problems: list[str], wall: float) -> None:

@@ -22,8 +22,11 @@ BENCHMARK = {
 }
 
 
-def run(latency: float, qps: float, attempted: int = 100, failed: int = 0) -> dict:
+def run(
+    latency: float, qps: float, attempted: int = 100, failed: int = 0, **notes
+) -> dict:
     return {
+        "seed": 1,
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
@@ -31,6 +34,7 @@ def run(latency: float, qps: float, attempted: int = 100, failed: int = 0) -> di
             "latency_s": {"value": latency, "unit": "s"},
             "qps": {"value": qps, "unit": "1/s"},
         },
+        "passes": [{"notes": {"tail_pct": 90.0, **notes}}],
     }
 
 
@@ -94,6 +98,22 @@ class CompareTest(unittest.TestCase):
         result = verdicts(parent, {"w1": broken, "w2": steady()})
         self.assertEqual(result[("w1", "qps")], "error")
         self.assertEqual(result[("w1", "latency_s")], "ok")
+
+    def test_tails_at_different_percentiles_are_an_error(self) -> None:
+        parent = {"w1": steady(), "w2": steady()}
+        change = {"w1": steady(tail_pct=75.0), "w2": steady()}
+        result = verdicts(parent, change)
+        self.assertEqual(result[("w1", "latency_tail_s")], "error")
+        self.assertNotIn(("w2", "latency_tail_s"), result)
+
+    def test_counters_that_do_not_repeat_for_a_seed_are_an_error(self) -> None:
+        repeat = steady(deterministic_metrics={"Qo,o": {"tuples_scored": 7}})
+        parent = {"w1": repeat, "w2": steady()}
+        self.assertEqual(set(verdicts(parent, parent).values()), {"ok"})
+        drifted = steady(deterministic_metrics={"Qo,o": {"tuples_scored": 7}})
+        drifted[4]["passes"][0]["notes"]["deterministic_metrics"] = {"Qo,o": {"tuples_scored": 8}}
+        result = verdicts(parent, {"w1": drifted, "w2": steady()})
+        self.assertEqual(result[("w1", "deterministic_metrics")], "error")
 
 
 if __name__ == "__main__":

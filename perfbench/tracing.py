@@ -2,7 +2,7 @@
 
 A :class:`Recorder` keeps spans in memory — name, start, end, parent span and
 request id — and writes them out once, at the end of the run.  :func:`install`
-wraps the public calls of each layer (serving codec and request handling,
+wraps the public calls of each layer (serving codec and query execution,
 planning, the five TKIJ phases, the Map-Reduce engine and its backends, the
 local-join kernel and streaming evaluation) with recording wrappers, so the
 program itself stays untouched.  Parent/request links follow a ContextVar, so
@@ -79,20 +79,18 @@ class Recorder:
         root: bool = False,
         before: Callable[[tuple, dict], dict] | None = None,
         after: Callable[[Any, tuple], dict] | None = None,
-        required: bool = True,
-    ) -> bool:
+    ) -> None:
         """Replace ``owner.attr`` with a recording wrapper.
 
         ``name`` may be a function of the call's positional arguments (so a
         phase operator's span carries the operator's phase name).  ``before``
         derives span attributes from the arguments, ``after`` from the return
-        value.  A missing optional target is skipped and reported as ``False``.
+        value.  A missing target is an error, so a refactor that renames a
+        traced call breaks the traced run instead of quietly changing a figure.
         """
         raw = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         if raw is None:
-            if required:
-                raise AttributeError(f"cannot trace {owner!r}.{attr}: not found")
-            return False
+            raise AttributeError(f"cannot trace {owner!r}.{attr}: not found")
         is_static = isinstance(raw, staticmethod)
         function = raw.__func__ if is_static else raw
         recorder = self
@@ -124,7 +122,6 @@ class Recorder:
                     return result
 
         setattr(owner, attr, staticmethod(wrapper) if is_static else wrapper)
-        return True
 
     def dump(self, path: str | Path) -> None:
         """Write the recorded spans as one JSON document."""
@@ -287,18 +284,13 @@ def install(recorder: Recorder, serving: bool = False) -> None:
     if serving:
         from repro.serving import server
 
-        # The server has no public per-request hook; these two private
-        # boundaries are optional so a refactor degrades the serving.* numbers
-        # to zero instead of breaking the traced run.
-        recorder.wrap(
-            server.QueryServer, "_dispatch", "serving.request", root=True, required=False
-        )
+        # The server has no public per-query hook; its private execute
+        # boundary tells manual requests from auto ones (core.bounds_share).
         recorder.wrap(
             server.QueryServer,
             "_execute_call",
             "serving.execute",
             root=True,
             before=_call_attrs,
-            required=False,
         )
         install_codec(recorder, server)
