@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -28,16 +30,32 @@ TMP = OUT / "tmp"
 DATA_SEED = 0
 """Seed of every interval's start and length, whatever the run's ``--seed``.
 
-The run's seed relabels interval uids and orders the requests, so each seed
-gets its own inputs and answers, but the join work stays the same: with
-seed-drawn intervals, one query's cost varied up to 3x between datasets
-(Qf,b) and 30-s runs could not be compared at all."""
+The run's seed relabels interval uids (:func:`relabel`) and orders the
+requests, so each seed gets its own inputs and answers, but the join work
+stays the same: with seed-drawn intervals, one query's cost varied up to 3x
+between datasets (Qf,b) and 30-s runs could not be compared at all."""
 
 
 def derived_seed(seed: int, *parts: object) -> int:
     """A stable 32-bit seed for one input of one workload run."""
     digest = hashlib.sha256(repr((seed, *parts)).encode()).digest()
     return int.from_bytes(digest[:4], "little")
+
+
+UID_STRIDE = 1000
+
+
+def relabel(positions: np.ndarray, seed: int) -> np.ndarray:
+    """Seed-drawn uids that keep the order of ``positions`` (distinct integers).
+
+    Position ``p`` gets a uid in ``[p * UID_STRIDE, (p + 1) * UID_STRIDE)``, so
+    every seed has its own uids and answers while ties between equal scores
+    break in the same order.  A uid permutation instead changed the join's
+    work from seed to seed (Qo,o on the network trace scored 219k-263k
+    tuples), and with it the timings.
+    """
+    offsets = np.random.default_rng(seed).integers(0, UID_STRIDE, size=len(positions))
+    return positions * UID_STRIDE + offsets
 
 
 def check_connections(connections: int) -> None:
@@ -102,7 +120,9 @@ class Pass:
 
 def request_log(records: list[dict[str, Any]], origin: float) -> list[dict[str, Any]]:
     """The JSON-safe part of each timed record, times relative to ``origin``."""
-    keep = ("kind", "shape", "k", "mode", "dataset", "conn", "tick", "ok", "code", "timings")
+    keep = (
+        "kind", "shape", "k", "mode", "dataset", "conn", "episode", "tick", "ok", "code", "timings"
+    )
     return [
         {
             **{key: record[key] for key in keep if key in record},
@@ -211,24 +231,64 @@ class ServerProcess:
 
 
 # ------------------------------------------------------------------ load loop
-def closed_loop(
-    step: Callable[[int], list[dict[str, Any]]], connections: int, seconds: float
-) -> tuple[list[dict[str, Any]], float, float, float]:
-    """Run rounds of ``step(connection)``, all connections at once, for ``seconds``.
+def another_unit(started: float, units: int, seconds: float) -> bool:
+    """Whether the window starts one more unit of work.
 
-    A round started before the deadline runs to completion, and the next
-    starts when its slowest connection is done, so every connection runs the
-    same number of steps and none runs alone at the end of the window (a
-    connection left alone ran its last step about twice as fast).  Returns the
-    records, the window start, the last completion and the client CPU share.
+    A unit is a workload's repeating piece of work (a serve_mixed round, a
+    serve_ingest episode, a batch_network pair), the same from one to the
+    next, so a window of whole units always holds the same mix of requests,
+    however many units fit.  Another unit starts while, at the mean unit
+    duration so far, it would end within ``OVERRUN`` past ``seconds``; the
+    first always runs.  A run therefore never measures much longer than
+    ``seconds``, whatever the speed of the host.
+    """
+    elapsed = time.perf_counter() - started
+    return units == 0 or elapsed * (units + 1) / units <= seconds * OVERRUN
+
+
+OVERRUN = 1.1
+"""How far past ``--seconds`` a window may be expected to end (see :func:`another_unit`)."""
+
+
+def closed_loop(
+    step: Callable[[int, int], list[dict[str, Any]]],
+    connections: int,
+    seconds: float,
+    unit: int = 1,
+) -> tuple[list[dict[str, Any]], tuple[float, float], float, list[float]]:
+    """Run rounds of ``step(connection, round)``, all connections at once, in whole units.
+
+    A unit is ``unit`` rounds; the window holds whole units (see
+    :func:`another_unit`).  The next round starts when the slowest
+    connection is done with the last, so every connection runs the same
+    steps and none runs alone (a connection left alone ran its step about
+    twice as fast).  Returns the records, the window (start, last
+    completion), the client CPU share and each unit's duration.
     """
     records: list[dict[str, Any]] = []
     started = time.perf_counter()
     cpu_started = time.process_time()
+    unit_seconds: list[float] = []
     with ThreadPoolExecutor(max_workers=connections) as pool:
-        while time.perf_counter() < started + seconds:
-            for stepped in pool.map(step, range(connections)):
-                records.extend(stepped)
+        while another_unit(started, len(unit_seconds), seconds):
+            unit_started = time.perf_counter()
+            first = len(unit_seconds) * unit
+            for index in range(first, first + unit):
+                for stepped in pool.map(step, range(connections), [index] * connections):
+                    records.extend(stepped)
+            unit_seconds.append(time.perf_counter() - unit_started)
     finished = max((record["end"] for record in records), default=time.perf_counter())
     cpu_frac = (time.process_time() - cpu_started) / max(finished - started, 1e-9)
-    return records, started, finished, cpu_frac
+    return records, (started, finished), cpu_frac, unit_seconds
+
+
+def unit_throughput(completed: int, unit_seconds: list[float]) -> float:
+    """Completed operations per second at the median unit's pace.
+
+    Every unit of a workload holds the same requests, so each completes
+    ``completed / len(unit_seconds)`` of them.  Dividing by the median
+    unit's duration, not the window's, keeps a burst of host slowness in one
+    unit from moving the figure: two identical serve_mixed rounds of one
+    run took 10.6 and 16.3 s on a 2-vCPU VM.
+    """
+    return completed / len(unit_seconds) / statistics.median(unit_seconds)

@@ -60,8 +60,9 @@ def layer_metrics(
     """Every per-layer metric of one traced pass.
 
     ``records`` are the client's timed operations (``kind`` is ``query``,
-    ``ingest``, ``refresh`` or ``batch``); ``server_stats`` holds the
-    ``statistics_cache`` and ``plan_cache`` counter sections.
+    ``ingest``, ``refresh``, ``register``, ``start`` or ``batch``);
+    ``server_stats`` holds the ``statistics_cache`` and ``plan_cache``
+    counter sections.
     """
     start, end = window
     spans = [s for s in spans if s["start"] >= start and s["end"] <= end]
@@ -78,7 +79,7 @@ def layer_metrics(
     metrics: dict[str, float] = {}
 
     # serving -------------------------------------------------------------
-    served = [r for r in records if r["kind"] in ("query", "refresh") and r["ok"]]
+    served = [r for r in records if r["kind"] in ("query", "refresh", "start") and r["ok"]]
     timed = [r for r in served if r.get("timings")]
     overheads = [
         r["latency"] - sum(r["timings"][key] for key in ("queue_seconds", "plan_seconds", "execute_seconds"))
@@ -86,7 +87,7 @@ def layer_metrics(
     ]
     metrics["serving.overhead_s"] = statistics.median(overheads) if overheads else 0.0
     codec = sum(s["end"] - s["start"] for name, group in by_name.items() if name.startswith("serving.codec.") for s in group)
-    requests = [r for r in records if r["kind"] in ("query", "refresh", "ingest")]
+    requests = [r for r in records if r["kind"] != "batch"]
     metrics["serving.codec_s"] = _ratio(codec, len(requests))
     queue = summarise([r["timings"]["queue_seconds"] for r in timed])
     metrics["serving.queue_p50_s"] = queue["p50"]

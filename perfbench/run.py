@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload serve_mixed --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload serve_mixed --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics of ``BENCHMARK.json`` with
 tracing off.  ``--trace 1`` runs the workload twice for half the time each,
