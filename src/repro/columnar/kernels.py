@@ -28,6 +28,7 @@ from ..temporal.aggregation import (
 )
 from ..temporal.comparators import ComparatorParams
 from ..temporal.predicates import ScoredPredicate
+from ..temporal.terms import EndpointVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .columns import IntervalColumns
@@ -35,6 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = [
     "equals_score_v",
     "greater_score_v",
+    "equals_score_range_v",
+    "greater_score_range_v",
+    "score_range_v",
     "compile_vector",
     "combine_scores_v",
     "box_mask",
@@ -87,6 +91,66 @@ def equals_score_v(d, params: ComparatorParams) -> np.ndarray:
 def greater_score_v(d, params: ComparatorParams) -> np.ndarray:
     """Vectorized ``greater`` comparator over an array of differences ``d = a - b``."""
     return _greater_part(d, params.lam, params.rho)
+
+
+def _check_range(d_min, d_max) -> None:
+    if np.any(np.asarray(d_min) > np.asarray(d_max)):
+        raise ValueError("empty difference range")
+
+
+def equals_score_range_v(d_min, d_max, params: ComparatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`~repro.temporal.comparators.equals_score_range`.
+
+    Picks the closest-to-zero and the farthest difference of every range with
+    the scalar function's branch order, then scores both points with the
+    ``equals`` cascade (``abs(p - 0.0) == abs(p)`` for every float ``p``).
+    """
+    _check_range(d_min, d_max)
+    d_min = np.asarray(d_min, dtype=float)
+    d_max = np.asarray(d_max, dtype=float)
+    closest = np.where(
+        (d_min <= 0.0) & (0.0 <= d_max), 0.0, np.where(d_max < 0.0, d_max, d_min)
+    )
+    farthest = np.where(np.abs(d_min) >= np.abs(d_max), d_min, d_max)
+    return (
+        _equals_part(farthest, params.lam, params.rho),
+        _equals_part(closest, params.lam, params.rho),
+    )
+
+
+def greater_score_range_v(d_min, d_max, params: ComparatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`~repro.temporal.comparators.greater_score_range`."""
+    _check_range(d_min, d_max)
+    return (
+        _greater_part(d_min, params.lam, params.rho),
+        _greater_part(d_max, params.lam, params.rho),
+    )
+
+
+def score_range_v(
+    predicate: ScoredPredicate, domains: dict[EndpointVar, tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :meth:`ScoredPredicate.score_range` over arrays of endpoint boxes.
+
+    ``domains`` maps every endpoint variable of the predicate to ``(low,
+    high)`` arrays of one common shape (one element per box).  Each conjunct's
+    difference range comes from :meth:`Term.bounds` itself — same coefficient
+    order, same float operations, elementwise — and the conjunct ranges fold
+    into ``min`` from ``1.0`` as in the scalar method, so every element equals
+    the scalar range of its box.
+    """
+    lower: object = 1.0
+    upper: object = 1.0
+    for comparison in predicate.comparisons:
+        d_min, d_max = comparison.difference.bounds(domains)
+        params = comparison.comparator_params(predicate.params)
+        if comparison.kind == "equals":
+            c_lower, c_upper = equals_score_range_v(d_min, d_max, params)
+        else:
+            c_lower, c_upper = greater_score_range_v(d_min, d_max, params)
+        lower = np.minimum(lower, c_lower)
+        upper = np.minimum(upper, c_upper)
+    return np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
 
 
 def compile_vector(

@@ -31,7 +31,7 @@ from ..mapreduce.cluster import JobMetrics
 from ..query.graph import ResultTuple, RTJQuery
 from ..solver import BranchAndBoundSolver
 from ..temporal.interval import Interval, IntervalCollection
-from .bounds import CombinationSpace
+from .bounds import BucketCombination, CombinationSpace
 from .distribution import WorkloadAssignment, assign
 from .local_join import LocalJoinConfig, LocalJoinStats, LocalTopKJoin
 from .merge import run_merge_job
@@ -347,14 +347,7 @@ class JoinOp(PhaseOperator):
             "StatisticsOp and DistributeOp must run before JoinOp"
         )
         assignment = state.assignment
-
-        reducers_of: dict[tuple[str, BucketKey], list[int]] = {}
-        for reducer, buckets in assignment.buckets_per_reducer.items():
-            for item in buckets:
-                reducers_of.setdefault(item, []).append(reducer)
-        routing: dict[tuple[str, BucketKey], tuple[int, ...]] = {
-            item: tuple(reducers) for item, reducers in reducers_of.items()
-        }
+        routing = assignment.routing
         bucket_of, input_pairs = self._route_inputs(state, routing)
 
         if self.join_config.kernel in ("vector", "sweep"):

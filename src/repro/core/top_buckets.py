@@ -18,14 +18,63 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..query.graph import RTJQuery
 from ..solver import BranchAndBoundSolver
-from .bounds import BoundsEstimator, BucketCombination, CombinationSpace
+from .bounds import (
+    BoundsEstimator,
+    BucketCombination,
+    CombinationSpace,
+    LooseBoundsTable,
+    count_array,
+)
 from .statistics import DatasetStatistics
 
-__all__ = ["get_top_buckets", "TopBucketsResult", "TopBucketsSelector", "STRATEGIES"]
+__all__ = [
+    "get_top_buckets",
+    "select_top_buckets",
+    "top_bucket_indices",
+    "TopBucketsResult",
+    "TopBucketsSelector",
+    "STRATEGIES",
+]
 
 STRATEGIES = ("brute-force", "loose", "two-phase")
+
+
+def top_bucket_indices(
+    lower: np.ndarray, upper: np.ndarray, nb_res: np.ndarray, k: int
+) -> np.ndarray:
+    """Algorithm 1 over flat arrays: indices of a sufficient set for the top-k.
+
+    Index order must be the combinations' ``key()`` order and every ``nb_res``
+    positive.  The algorithm's two sorts become stable ``argsort``s of the
+    negated bounds (equal bounds keep index order, the ``key()`` tie-break)
+    and its two accumulation loops become cumulative sums.  Returns the
+    selected indices in descending upper-bound order.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if len(nb_res) == 0:
+        return np.zeros(0, dtype=np.intp)
+    # kthResLB: the lower bound at which the highest-LB combinations cover k
+    # results (the lowest LB of all when they never do).
+    by_lower = np.argsort(-lower, kind="stable")
+    covered = np.cumsum(nb_res[by_lower])
+    kth = min(int(np.searchsorted(covered, k)), len(by_lower) - 1)
+    kth_res_lb = lower[by_lower[kth]]
+
+    # The paper's Algorithm 1 stops at "UB <= kthResLB"; the strict comparison is
+    # required so that, in case of ties at the boundary, the combinations whose
+    # lower bounds *support* kthResLB are themselves retained (Definition 2 asks
+    # the dominating set to be a subset of the selection).
+    by_upper = np.argsort(-upper, kind="stable")
+    counts = nb_res[by_upper]
+    collected_before = np.cumsum(counts) - counts
+    stop = (collected_before >= k) & (upper[by_upper] < kth_res_lb)
+    end = int(np.argmax(stop)) if stop.any() else len(by_upper)
+    return by_upper[:end]
 
 
 def get_top_buckets(
@@ -36,36 +85,26 @@ def get_top_buckets(
     A lower bound ``kthResLB`` on the score of the k-th result is derived from the
     combinations with the highest lower bounds; every combination whose upper bound
     exceeds that threshold is kept (plus enough combinations to cover ``k``
-    results).
+    results).  The selection comes back in descending upper-bound order, ties
+    in ``key()`` order.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    combos = [c for c in combinations if c.nb_res > 0]
+    combos = sorted((c for c in combinations if c.nb_res > 0), key=BucketCombination.key)
     if not combos:
         return []
+    selected = top_bucket_indices(
+        np.array([c.lower_bound for c in combos], dtype=float),
+        np.array([c.upper_bound for c in combos], dtype=float),
+        count_array([c.nb_res for c in combos]),
+        k,
+    )
+    return [combos[index] for index in selected.tolist()]
 
-    by_lower = sorted(combos, key=lambda c: (-c.lower_bound, c.key()))
-    collected = 0
-    kth_res_lb = by_lower[-1].lower_bound
-    for combo in by_lower:
-        collected += combo.nb_res
-        kth_res_lb = combo.lower_bound
-        if collected >= k:
-            break
 
-    by_upper = sorted(combos, key=lambda c: (-c.upper_bound, c.key()))
-    selected: list[BucketCombination] = []
-    collected = 0
-    for combo in by_upper:
-        # The paper's Algorithm 1 stops at "UB <= kthResLB"; the strict comparison is
-        # required so that, in case of ties at the boundary, the combinations whose
-        # lower bounds *support* kthResLB are themselves retained (Definition 2 asks
-        # the dominating set to be a subset of the selection).
-        if collected >= k and combo.upper_bound < kth_res_lb:
-            break
-        selected.append(combo)
-        collected += combo.nb_res
-    return selected
+def select_top_buckets(table: LooseBoundsTable, k: int) -> list[BucketCombination]:
+    """Algorithm 1 on a whole loose-bounds table; objects are built for the selection only."""
+    return table.combinations(top_bucket_indices(table.lower, table.upper, table.nb_res, k))
 
 
 @dataclass
@@ -128,9 +167,7 @@ class TopBucketsSelector:
         started = time.perf_counter()
         space = space or CombinationSpace(query, statistics)
         estimator = BoundsEstimator(query, space, solver=self.solver)
-
-        combos = list(space.enumerate())
-        total_results = sum(c.nb_res for c in combos)
+        total_results = space.total_results()
 
         if query.has_attribute_constraints:
             # Hybrid queries (attribute constraints on edges): the purely-temporal
@@ -139,41 +176,26 @@ class TopBucketsSelector:
             # combination — bounds are still computed so DTB and the local join's
             # early termination retain their score ordering.
             estimator.pairwise.precompute_all_pairs()
-            selected = [estimator.loose_bounds(c) for c in combos]
-            elapsed = time.perf_counter() - started
-            return TopBucketsResult(
-                selected=selected,
-                strategy=self.strategy,
-                total_combinations=len(combos),
-                total_results=total_results,
-                selected_results=total_results,
-                pairs_bounded=estimator.pairwise.pairs_computed,
-                tight_bounds_computed=0,
-                elapsed_seconds=elapsed,
-            )
-
-        if self.strategy == "brute-force":
-            bounded = [estimator.tight_bounds(c) for c in combos]
+            selected = estimator.loose_table().combinations()
+            tight_computed = 0
+        elif self.strategy == "brute-force":
+            bounded = [estimator.tight_bounds(c) for c in space.enumerate()]
             selected = get_top_buckets(bounded, query.k)
             tight_computed = len(bounded)
-        elif self.strategy == "loose":
+        else:
             estimator.pairwise.precompute_all_pairs()
-            bounded = [estimator.loose_bounds(c) for c in combos]
-            selected = get_top_buckets(bounded, query.k)
+            selected = select_top_buckets(estimator.loose_table(), query.k)
             tight_computed = 0
-        else:  # two-phase
-            estimator.pairwise.precompute_all_pairs()
-            bounded = [estimator.loose_bounds(c) for c in combos]
-            survivors = get_top_buckets(bounded, query.k)
-            refined = [estimator.tight_bounds(c) for c in survivors]
-            selected = get_top_buckets(refined, query.k)
-            tight_computed = len(refined)
+            if self.strategy == "two-phase":
+                refined = [estimator.tight_bounds(c) for c in selected]
+                selected = get_top_buckets(refined, query.k)
+                tight_computed = len(refined)
 
         elapsed = time.perf_counter() - started
         return TopBucketsResult(
             selected=selected,
             strategy=self.strategy,
-            total_combinations=len(combos),
+            total_combinations=space.size(),
             total_results=total_results,
             selected_results=sum(c.nb_res for c in selected),
             pairs_bounded=estimator.pairwise.pairs_computed,

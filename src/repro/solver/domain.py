@@ -123,6 +123,13 @@ class DomainSet:
             domains[EndpointVar(var, "end")] = box.end_range
         return domains
 
+    def corners(self) -> dict[str, tuple[float, float, float, float]]:
+        """``(start_low, start_high, end_low, end_high)`` of every variable's box."""
+        return {
+            var: (box.start_low, box.start_high, box.end_low, box.end_high)
+            for var, box in self.boxes
+        }
+
     def sample_assignment(self) -> dict[str, Interval]:
         """A feasible assignment of one representative interval per variable."""
         return {var: box.sample_interval() for var, box in self.boxes}

@@ -61,13 +61,16 @@ class AggregateObjective:
 
         Each edge's range is exact per conjunct but edges are bounded independently,
         so shared variables are not coupled: the result is a valid outer bound
-        (identical in spirit to the paper's *loose* bounds).
+        (identical in spirit to the paper's *loose* bounds).  The solver calls
+        this on every box it visits, so it runs the predicates' compiled
+        corner plans (:meth:`ScoredPredicate.corner_score_range`), which equal
+        :meth:`EdgeObjective.score_range` bit for bit.
         """
-        endpoint_domains = domains.endpoint_domains()
+        corners = domains.corners()
         lows: list[float] = []
         highs: list[float] = []
         for edge in self.edges:
-            lo, hi = edge.score_range(endpoint_domains)
+            lo, hi = edge.predicate.corner_score_range(corners)
             lows.append(lo)
             highs.append(hi)
         return self.aggregation.lower_bound(lows), self.aggregation.upper_bound(highs)

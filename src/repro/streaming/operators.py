@@ -20,7 +20,7 @@ from typing import Mapping, MutableMapping
 from ..core.bounds import BoundsEstimator, BucketCombination, CombinationSpace
 from ..core.operators import PhaseOperator, PhaseState
 from ..core.statistics import BucketKey
-from ..core.top_buckets import TopBucketsResult, get_top_buckets
+from ..core.top_buckets import TopBucketsResult, select_top_buckets
 from ..solver import BranchAndBoundSolver
 
 __all__ = ["CandidateFilter", "IncrementalTopBucketsOp"]
@@ -63,10 +63,13 @@ class CandidateFilter:
 class IncrementalTopBucketsOp(PhaseOperator):
     """Phase (b) with cross-batch memoised pairwise bounds.
 
-    Always uses the loose strategy: pairwise bounds are the only primitives
-    that stay valid verbatim across batches (tight joint bounds would have to
-    be re-solved whenever any bucket's *cardinality* changes, which defeats
-    incrementality).  Queries with attribute constraints keep every bounded
+    Bounds and selects like the array form of
+    :class:`~repro.core.TopBucketsSelector`'s loose strategy.  The pairwise
+    matrices are recomputed per batch (one numpy pass per edge); only pairs
+    missing from the shared memo count as bounded.  Always uses the loose
+    strategy: pairwise bounds are the only primitives that stay valid verbatim
+    across batches (tight joint bounds would have to be re-solved whenever any
+    bucket's *cardinality* changes, which defeats incrementality).  Queries with attribute constraints keep every bounded
     combination, mirroring :class:`~repro.core.TopBucketsSelector` — the
     count-based pruning of Definition 2 is unsound for them, while the
     dirty/threshold filtering applied downstream remains exact.
@@ -86,17 +89,16 @@ class IncrementalTopBucketsOp(PhaseOperator):
         estimator = BoundsEstimator(
             query, space, solver=self.solver, shared_pairwise=self.shared_bounds
         )
-        combos = [estimator.loose_bounds(c) for c in space.enumerate()]
-        total_results = sum(c.nb_res for c in combos)
+        table = estimator.loose_table()
         if query.has_attribute_constraints:
-            selected = combos
+            selected = table.combinations()
         else:
-            selected = get_top_buckets(combos, query.k)
+            selected = select_top_buckets(table, query.k)
         state.top_buckets = TopBucketsResult(
             selected=selected,
             strategy="loose",
-            total_combinations=len(combos),
-            total_results=total_results,
+            total_combinations=space.size(),
+            total_results=space.total_results(),
             selected_results=sum(c.nb_res for c in selected),
             pairs_bounded=estimator.pairwise.pairs_computed,
             tight_bounds_computed=0,

@@ -11,6 +11,7 @@ of the Allen algebra (Figure 2) and the extended predicates (Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .comparators import (
@@ -64,6 +65,31 @@ class Comparison:
         if self.kind not in ("equals", "greater"):
             raise ValueError(f"comparison kind must be 'equals' or 'greater', got {self.kind!r}")
 
+    @cached_property
+    def difference(self) -> Term:
+        """The linear term ``left - right`` every comparator scores.
+
+        Built once per comparison: the bound solver evaluates it on every box
+        it visits, and rebuilding it through :class:`Term` algebra per call
+        dominated brute-force TopBuckets.
+        """
+        return self.left - self.right
+
+    @cached_property
+    def corner_plan(self) -> tuple[float, tuple[tuple[str, int, int, float], ...]]:
+        """:attr:`difference` as ``(constant, ((var, low corner, high corner, coeff), ...))``.
+
+        A corner indexes a variable's box as ``(start_low, start_high,
+        end_low, end_high)``: the endpoint bound :meth:`Term.bounds` reads for
+        the term's low and high end given the coefficient's sign.
+        """
+        plan = []
+        for ev, coeff in self.difference.coefficients:
+            base = 0 if ev.endpoint == "start" else 2
+            low, high = (base, base + 1) if coeff >= 0 else (base + 1, base)
+            plan.append((ev.var, low, high, coeff))
+        return self.difference.constant, tuple(plan)
+
     # ------------------------------------------------------------------ params
     def comparator_params(self, params: PredicateParams) -> ComparatorParams:
         """Effective ``(lambda, rho)`` for this conjunct under a parameter set."""
@@ -108,8 +134,30 @@ class Comparison:
         comparator image over that range is exact (see
         :mod:`repro.temporal.comparators`).
         """
-        diff = self.left - self.right
-        d_min, d_max = diff.bounds(domains)
+        d_min, d_max = self.difference.bounds(domains)
+        return self._comparator_range(d_min, d_max, params)
+
+    def corner_score_range(
+        self,
+        corners: Mapping[str, tuple[float, float, float, float]],
+        params: PredicateParams,
+    ) -> tuple[float, float]:
+        """:meth:`score_range` with each variable's box given as its four corners.
+
+        Runs :attr:`corner_plan`: the same float operations in the same
+        order as :meth:`Term.bounds`, without an endpoint-variable mapping.
+        """
+        constant, plan = self.corner_plan
+        d_min = d_max = constant
+        for var, low, high, coeff in plan:
+            box = corners[var]
+            d_min += coeff * box[low]
+            d_max += coeff * box[high]
+        return self._comparator_range(d_min, d_max, params)
+
+    def _comparator_range(
+        self, d_min: float, d_max: float, params: PredicateParams
+    ) -> tuple[float, float]:
         cp = self.comparator_params(params)
         if self.kind == "equals":
             return equals_score_range(d_min, d_max, cp)
@@ -178,6 +226,18 @@ class ScoredPredicate:
             hi = min(hi, c_hi)
         return lo, hi
 
+    def corner_score_range(
+        self, corners: Mapping[str, tuple[float, float, float, float]]
+    ) -> tuple[float, float]:
+        """:meth:`score_range` with each variable's box given as its four corners."""
+        lo = 1.0
+        hi = 1.0
+        for comparison in self.comparisons:
+            c_lo, c_hi = comparison.corner_score_range(corners, self.params)
+            lo = min(lo, c_lo)
+            hi = min(hi, c_hi)
+        return lo, hi
+
     def with_params(self, params: PredicateParams) -> "ScoredPredicate":
         """Return a copy using a different parameter set (overrides are preserved)."""
         return replace(self, params=params)
@@ -200,7 +260,7 @@ class ScoredPredicate:
         }
         compiled: list[tuple[bool, tuple[float, float, float, float], float, float, float]] = []
         for comparison in self.comparisons:
-            diff = comparison.left - comparison.right
+            diff = comparison.difference
             coefficients = [0.0, 0.0, 0.0, 0.0]
             for ev, coeff in diff.coefficients:
                 key = (ev.var, ev.endpoint)

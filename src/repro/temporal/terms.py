@@ -117,7 +117,10 @@ class Term:
         ``domains`` maps each referenced endpoint variable to a ``(low, high)``
         range.  Because the term is linear and the endpoints are treated as
         independent, the minimum / maximum are attained at box corners and interval
-        arithmetic is exact.
+        arithmetic is exact.  The ranges may also be numpy arrays of one common
+        shape: every step is elementwise, so each element gets the same float
+        operations as a scalar call (the array form of TopBuckets bounds all
+        bucket pairs of an edge this way).
         """
         lo = hi = self.constant
         for ev, coeff in self.coefficients:

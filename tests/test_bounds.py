@@ -88,8 +88,7 @@ class TestBoundsEstimator:
         query, statistics = small_setup
         space = CombinationSpace(query, statistics)
         estimator = BoundsEstimator(query, space)
-        for combo in space.enumerate():
-            bounded = estimator.loose_bounds(combo)
+        for bounded in estimator.loose_table().combinations():
             assert 0.0 <= bounded.lower_bound <= bounded.upper_bound <= 1.0
             # Every concrete tuple of this combination scores within the bounds.
             pools = []
@@ -109,9 +108,8 @@ class TestBoundsEstimator:
         query, statistics = small_setup
         space = CombinationSpace(query, statistics)
         estimator = BoundsEstimator(query, space, solver=BranchAndBoundSolver(max_nodes=128))
-        for combo in space.enumerate():
-            loose = estimator.loose_bounds(combo)
-            tight = estimator.tight_bounds(combo)
+        for loose in estimator.loose_table().combinations():
+            tight = estimator.tight_bounds(loose)
             assert tight.upper_bound <= loose.upper_bound + 1e-9
             assert tight.lower_bound >= loose.lower_bound - 1e-9
 
@@ -119,13 +117,17 @@ class TestBoundsEstimator:
         query, statistics = small_setup
         space = CombinationSpace(query, statistics)
         estimator = BoundsEstimator(query, space)
-        combos = list(space.enumerate())
-        for combo in combos:
-            estimator.loose_bounds(combo)
+        estimator.loose_table()
         first_count = estimator.pairwise.pairs_computed
-        for combo in combos:
-            estimator.loose_bounds(combo)
+        estimator.loose_table()
         assert estimator.pairwise.pairs_computed == first_count
+        # A second estimator over the same shared memo bounds no pair again.
+        memo: dict = {}
+        BoundsEstimator(query, space, shared_pairwise=memo).loose_table()
+        assert len(memo) == first_count
+        again = BoundsEstimator(query, space, shared_pairwise=memo)
+        again.loose_table()
+        assert again.pairwise.pairs_computed == 0
 
     def test_precompute_all_pairs_counts(self, small_setup):
         query, statistics = small_setup
@@ -141,5 +143,5 @@ class TestBoundsEstimator:
         query, statistics = small_setup
         space = CombinationSpace(query, statistics)
         estimator = BoundsEstimator(query, space)
-        combo = estimator.loose_bounds(next(space.enumerate()))
+        combo = estimator.loose_table().combinations([0])[0]
         assert len(combo.edge_bounds) == query.num_edges
